@@ -49,9 +49,7 @@
 use std::time::Instant;
 
 use flashtier_bench::cli::{parse_or_exit, usage_error};
-use flashtier_bench::replay::{
-    run_system_batched, run_system_sharded_batched, ReplaySetup, ReplaySystem, SystemResult,
-};
+use flashtier_bench::replay::{run_sharded, run_system, ReplaySetup, ReplaySystem, SystemResult};
 
 const FLAGS: &[&str] = &[
     "--events",
@@ -165,8 +163,8 @@ fn main() {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(&kind) = systems.get(i) else { break };
                 let r = match shards {
-                    Some(n) => run_system_sharded_batched(kind, setup, t, n, batch),
-                    None => run_system_batched(kind, setup, t, batch),
+                    Some(n) => run_sharded(kind, setup, t, n, batch).result,
+                    None => run_system(kind, setup, t, batch),
                 };
                 **slots[i].lock().expect("result slot") = Some(r);
             });

@@ -18,7 +18,9 @@ use cachemgr::{
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::{DataMode, FaultCounters, FaultPlan, FlashConfig};
-use flashtier_core::{shard_config, ConsistencyMode, ShardRouter, Ssc, SscConfig, SscCounters};
+use flashtier_core::{
+    decorrelate_fault_seed, shard_config, ConsistencyMode, ShardRouter, Ssc, SscConfig, SscCounters,
+};
 use ftl::{HybridFtl, SsdConfig};
 use trace::{generate, Trace, TraceEvent, WorkloadSpec};
 
@@ -194,32 +196,42 @@ impl ReplaySetup {
         system
     }
 
-    /// Share-nothing write-through shard stacks for the cache server: the
-    /// same 1/n-geometry split, decorrelated fault seeds and pure LBA
-    /// router as [`run_sharded_detail`], packaged as a
-    /// [`cachemgr::ShardSet`] the server's per-shard workers can own.
+    /// Share-nothing write-through shard stacks: `shards` complete stacks,
+    /// each over a 1/n-geometry split of [`ReplaySetup::wt_config`] with
+    /// its fault seed decorrelated per shard, plus the pure LBA router.
+    /// The one constructor of sharded stacks — [`run_sharded`] replays
+    /// through it and the cache server's per-shard workers own its stacks.
+    /// At `shards == 1` the single stack is [`ReplaySetup::flashtier_wt`].
     pub fn wt_shard_set(&self, shards: usize) -> ShardSet<FlashTierWt> {
-        let config = self.wt_config();
-        let per_shard = shard_config(&config, shards);
-        let plan = self.fault_plan();
-        ShardSet::from_parts(
-            (0..shards)
-                .map(|i| FlashTierWt::new(build_shard_ssc(per_shard, plan, i), self.disk()))
-                .collect(),
-            ShardRouter::new(shards, config.flash.geometry.pages_per_block()),
-        )
+        self.shard_set(self.wt_config(), shards, FlashTierWt::new)
     }
 
     /// Share-nothing write-back shard stacks (see
     /// [`ReplaySetup::wt_shard_set`]).
     pub fn wb_shard_set(&self, shards: usize) -> ShardSet<FlashTierWb> {
-        let config = self.wb_config();
+        self.shard_set(self.wb_config(), shards, FlashTierWb::new)
+    }
+
+    fn shard_set<S: CacheSystem>(
+        &self,
+        config: SscConfig,
+        shards: usize,
+        build: impl Fn(Ssc, Disk) -> S,
+    ) -> ShardSet<S> {
         let per_shard = shard_config(&config, shards);
         let plan = self.fault_plan();
+        let stacks = (0..shards)
+            .map(|i| {
+                let mut ssc = Ssc::new(per_shard);
+                if let Some(mut p) = plan {
+                    p.seed = decorrelate_fault_seed(p.seed, i);
+                    ssc.set_fault_plan(p);
+                }
+                build(ssc, self.disk())
+            })
+            .collect();
         ShardSet::from_parts(
-            (0..shards)
-                .map(|i| FlashTierWb::new(build_shard_ssc(per_shard, plan, i), self.disk()))
-                .collect(),
+            stacks,
             ShardRouter::new(shards, config.flash.geometry.pages_per_block()),
         )
     }
@@ -282,7 +294,7 @@ impl ReplaySystem {
 /// Fault-path outcome of one faulted replay: what the media injected and
 /// how the stack degraded. Only populated when the fault plan is active,
 /// so faults-off reports are byte-identical to the pre-fault format.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultReport {
     /// Faults the media layer injected or absorbed (all classes).
     pub injected: u64,
@@ -443,15 +455,10 @@ fn timed_facade(setup: &ReplaySetup, t: &Trace, batch: Option<usize>) -> SystemR
     }
 }
 
-/// Builds and replays one system against a pre-generated trace.
-pub fn run_system(kind: ReplaySystem, setup: &ReplaySetup, t: &Trace) -> SystemResult {
-    run_system_batched(kind, setup, t, None)
-}
-
 /// Builds and replays one system against a pre-generated trace, scalar
 /// (`batch == None`) or through the batched pipeline (`batch == Some(n)`).
 /// Statistics are bit-identical either way; only host throughput differs.
-pub fn run_system_batched(
+pub fn run_system(
     kind: ReplaySystem,
     setup: &ReplaySetup,
     t: &Trace,
@@ -490,6 +497,7 @@ pub fn run_system_batched(
         ReplaySystem::FacadeWt => timed_facade(setup, t, batch),
     }
 }
+
 /// Splits a trace into per-shard subsequences with [`ShardRouter`],
 /// preserving the original order *within* each shard. Because the router is
 /// a pure function of the LBA, every operation on a given logical block
@@ -529,44 +537,38 @@ struct ShardOutcome {
     faults: Option<FaultReport>,
 }
 
-/// Replays per-shard subsequences through per-shard stacks on scoped
+/// Replays per-shard subsequences through the stacks of `set` on scoped
 /// threads and merges deterministically: counters sum, simulated time
 /// max-merges. Each shard owns a complete stack (an SSC over a `1/n`
 /// geometry split, its own disk tier and manager), so threads share
 /// nothing and the per-shard outcomes are exactly those of `n` independent
 /// sequential replays — the merge is byte-for-byte reproducible regardless
 /// of host scheduling.
-#[allow(clippy::too_many_arguments)]
-fn timed_sharded<S, B, P>(
+fn timed_sharded<S, P>(
     kind: ReplaySystem,
     t: &Trace,
-    shards: usize,
-    ppb: u32,
+    set: ShardSet<S>,
     faulted: bool,
     batch: Option<usize>,
-    build: B,
     probe: P,
 ) -> ShardedRunDetail
 where
-    S: CacheSystem,
-    B: Fn(usize) -> S + Sync,
+    S: CacheSystem + Send,
     P: Fn(&S) -> (SscCounters, FaultCounters) + Sync,
 {
-    let router = ShardRouter::new(shards, ppb);
+    let (stacks, router) = set.into_shards();
     let parts = partition_events(&t.events, router);
     let start = Instant::now();
     let outcomes: Vec<ShardOutcome> = thread::scope(|scope| {
-        let build = &build;
         let probe = &probe;
-        let handles: Vec<_> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, events)| {
+        let handles: Vec<_> = stacks
+            .into_iter()
+            .zip(&parts)
+            .map(|(mut system, events)| {
                 scope.spawn(move || {
-                    let mut system = build(i);
                     let stats = match batch {
-                        Some(b) => cachemgr::replay_batched(&mut system, events, b),
-                        None => cachemgr::replay(&mut system, events),
+                        Some(b) => replay_batched(&mut system, events, b),
+                        None => replay(&mut system, events),
                     }
                     .expect("sharded replay");
                     let (counters, injected) = probe(&system);
@@ -608,36 +610,16 @@ where
     }
 }
 
-/// One shard's SSC: the 1/n-geometry config with the fault seed
-/// decorrelated per shard (shared by sharded replay and the cache
-/// server's shard sets, so the two paths cannot drift apart).
-fn build_shard_ssc(per_shard: SscConfig, plan: Option<FaultPlan>, i: usize) -> Ssc {
-    let mut ssc = Ssc::new(per_shard);
-    if let Some(mut p) = plan {
-        p.seed = flashtier_core::decorrelate_fault_seed(p.seed, i);
-        ssc.set_fault_plan(p);
-    }
-    ssc
-}
-
-/// Builds and replays one system partitioned over `shards` shards,
-/// returning the per-shard breakdown. Only the two FlashTier systems
-/// shard (the native baseline and the facade have no partitioned build);
-/// asking for them falls back to the unsharded run with an empty
+/// Builds and replays one system partitioned over `shards` shards (the
+/// `perf_replay --shards` path), scalar or batched as in [`run_system`],
+/// returning the merged result and the per-shard breakdown. The stacks
+/// come from [`ReplaySetup::wt_shard_set`]/[`ReplaySetup::wb_shard_set`];
+/// `shards == 1` replays the whole trace through a single full-geometry
+/// stack and is bit-identical to [`run_system`]. Only the two FlashTier
+/// systems shard (the native baseline and the facade have no partitioned
+/// build); asking for them falls back to the unsharded run with an empty
 /// breakdown.
-pub fn run_sharded_detail(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    shards: usize,
-) -> ShardedRunDetail {
-    run_sharded_detail_batched(kind, setup, t, shards, None)
-}
-
-/// [`run_sharded_detail`] with an optional batched pipeline (`batch ==
-/// Some(n)` replays every shard's subsequence through
-/// [`cachemgr::replay_batched`]). Statistics are bit-identical either way.
-pub fn run_sharded_detail_batched(
+pub fn run_sharded(
     kind: ReplaySystem,
     setup: &ReplaySetup,
     t: &Trace,
@@ -645,66 +627,28 @@ pub fn run_sharded_detail_batched(
     batch: Option<usize>,
 ) -> ShardedRunDetail {
     assert!(shards >= 1, "need at least one shard");
-    let config = match kind {
-        ReplaySystem::FlashtierWt => setup.wt_config(),
-        ReplaySystem::FlashtierWb => setup.wb_config(),
-        ReplaySystem::NativeWb | ReplaySystem::FacadeWt => {
-            return ShardedRunDetail {
-                result: run_system_batched(kind, setup, t, batch),
-                shard_counters: Vec::new(),
-                shard_sim_time_us: Vec::new(),
-            };
-        }
-    };
-    let per_shard = shard_config(&config, shards);
-    let ppb = config.flash.geometry.pages_per_block();
-    let plan = setup.fault_plan();
-    let build_ssc = |i: usize| build_shard_ssc(per_shard, plan, i);
+    let faulted = setup.fault_plan().is_some();
     match kind {
         ReplaySystem::FlashtierWt => timed_sharded(
             kind,
             t,
-            shards,
-            ppb,
-            plan.is_some(),
+            setup.wt_shard_set(shards),
+            faulted,
             batch,
-            |i| FlashTierWt::new(build_ssc(i), setup.disk()),
             |s: &FlashTierWt| (s.ssc().counters(), s.ssc().fault_counters()),
         ),
         ReplaySystem::FlashtierWb => timed_sharded(
             kind,
             t,
-            shards,
-            ppb,
-            plan.is_some(),
+            setup.wb_shard_set(shards),
+            faulted,
             batch,
-            |i| FlashTierWb::new(build_ssc(i), setup.disk()),
             |s: &FlashTierWb| (s.ssc().counters(), s.ssc().fault_counters()),
         ),
-        ReplaySystem::NativeWb | ReplaySystem::FacadeWt => unreachable!(),
+        ReplaySystem::NativeWb | ReplaySystem::FacadeWt => ShardedRunDetail {
+            result: run_system(kind, setup, t, batch),
+            shard_counters: Vec::new(),
+            shard_sim_time_us: Vec::new(),
+        },
     }
-}
-
-/// Builds and replays one system partitioned over `shards` shards against
-/// a pre-generated trace (the `perf_replay --shards` path). `shards == 1`
-/// replays the whole trace through a single full-geometry stack and is
-/// bit-identical to [`run_system`].
-pub fn run_system_sharded(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    shards: usize,
-) -> SystemResult {
-    run_sharded_detail(kind, setup, t, shards).result
-}
-
-/// [`run_system_sharded`] with an optional batched pipeline.
-pub fn run_system_sharded_batched(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    shards: usize,
-    batch: Option<usize>,
-) -> SystemResult {
-    run_sharded_detail_batched(kind, setup, t, shards, batch).result
 }

@@ -10,9 +10,7 @@
 //! injection.
 
 use cachemgr::{replay, replay_batched, CacheSystem, ReplayStats};
-use flashtier_bench::replay::{
-    run_sharded_detail_batched, run_system_batched, ReplaySetup, ReplaySystem,
-};
+use flashtier_bench::replay::{run_sharded, run_system, ReplaySetup, ReplaySystem};
 use trace::{generate, Trace, WorkloadSpec};
 
 const BATCHES: [usize; 4] = [1, 7, 64, 1024];
@@ -163,9 +161,9 @@ fn system_results_batched_match_scalar() {
     let s = setup();
     let t = s.workload();
     for kind in ReplaySystem::ALL {
-        let scalar = run_system_batched(kind, &s, &t, None);
+        let scalar = run_system(kind, &s, &t, None);
         for b in BATCHES {
-            let batched = run_system_batched(kind, &s, &t, Some(b));
+            let batched = run_system(kind, &s, &t, Some(b));
             assert_eq!(scalar.events, batched.events, "{} batch={b}", kind.name());
             assert_eq!(
                 scalar.sim_time_us,
@@ -183,9 +181,9 @@ fn sharded_batched_matches_scalar() {
     let t = s.workload();
     for kind in [ReplaySystem::FlashtierWt, ReplaySystem::FlashtierWb] {
         for shards in [1usize, 4] {
-            let scalar = run_sharded_detail_batched(kind, &s, &t, shards, None);
+            let scalar = run_sharded(kind, &s, &t, shards, None);
             for b in BATCHES {
-                let batched = run_sharded_detail_batched(kind, &s, &t, shards, Some(b));
+                let batched = run_sharded(kind, &s, &t, shards, Some(b));
                 let label = format!("{} shards={shards} batch={b}", kind.name());
                 assert_eq!(
                     scalar.result.sim_time_us, batched.result.sim_time_us,

@@ -3,10 +3,11 @@
 //! Three invariants back the sharded build:
 //!
 //! 1. **N=1 is the unsharded system, bit for bit.** A single-shard
-//!    partitioned replay must produce the exact `SscCounters` and
-//!    `sim_time_us` of the plain sequential replay on the Zipf gate
-//!    workload — the shard layer adds routing and merging but no
-//!    semantics.
+//!    partitioned replay must produce the exact `SscCounters`,
+//!    `sim_time_us` and (under media faults) `FaultReport` of the plain
+//!    sequential replay on the Zipf gate workload — the shard layer adds
+//!    routing and merging but no semantics, and shard 0 keeps the
+//!    device's fault seed.
 //! 2. **Partitioning preserves per-LBA order.** The router is a pure
 //!    function of the LBA, so each block's operation subsequence is
 //!    unchanged; this is the property that makes partitioned replay
@@ -15,7 +16,9 @@
 //!    clocks are advanced independently and max-merged, so the outcome
 //!    cannot depend on host scheduling.
 
-use flashtier_bench::replay::{partition_events, run_sharded_detail, ReplaySetup, ReplaySystem};
+use flashtier_bench::replay::{
+    partition_events, run_sharded, run_system, ReplaySetup, ReplaySystem,
+};
 use flashtier_core::ShardRouter;
 
 /// Full gate size in release; trimmed in debug so `cargo test` stays fast
@@ -27,39 +30,55 @@ const EVENTS: u64 = 1_000_000;
 
 #[test]
 fn one_shard_replay_is_bit_identical_to_unsharded() {
-    let setup = ReplaySetup::perf(EVENTS);
-    let t = setup.workload();
+    for setup in [
+        ReplaySetup::perf(EVENTS),
+        ReplaySetup::perf(EVENTS).with_faults(500),
+    ] {
+        let faulted = setup.fault_plan().is_some();
+        let t = setup.workload();
 
-    for kind in [ReplaySystem::FlashtierWt, ReplaySystem::FlashtierWb] {
-        let detail = run_sharded_detail(kind, &setup, &t, 1);
-        assert_eq!(detail.shard_counters.len(), 1);
-        assert_eq!(detail.result.shard_events.as_deref(), Some(&[EVENTS][..]));
+        for kind in [ReplaySystem::FlashtierWt, ReplaySystem::FlashtierWb] {
+            let detail = run_sharded(kind, &setup, &t, 1, None);
+            let name = format!("{} (faulted: {faulted})", detail.result.name);
+            assert_eq!(detail.shard_counters.len(), 1);
+            assert_eq!(detail.result.shard_events.as_deref(), Some(&[EVENTS][..]));
 
-        // The plain sequential replay of the same workload.
-        let (plain_counters, plain_sim_us) = match kind {
-            ReplaySystem::FlashtierWt => {
-                let mut s = setup.flashtier_wt();
-                let stats = cachemgr::replay(&mut s, &t.events).unwrap();
-                (s.ssc().counters(), stats.sim_time.as_micros())
+            // The plain sequential replay of the same workload.
+            let (plain_counters, plain_sim_us) = match kind {
+                ReplaySystem::FlashtierWt => {
+                    let mut s = setup.flashtier_wt();
+                    let stats = cachemgr::replay(&mut s, &t.events).unwrap();
+                    (s.ssc().counters(), stats.sim_time.as_micros())
+                }
+                ReplaySystem::FlashtierWb => {
+                    let mut s = setup.flashtier_wb();
+                    let stats = cachemgr::replay(&mut s, &t.events).unwrap();
+                    (s.ssc().counters(), stats.sim_time.as_micros())
+                }
+                _ => unreachable!(),
+            };
+
+            assert_eq!(
+                detail.shard_counters[0], plain_counters,
+                "{name}: N=1 sharded counters diverge from unsharded"
+            );
+            assert_eq!(
+                detail.result.sim_time_us, plain_sim_us,
+                "{name}: N=1 sharded sim_time diverges from unsharded"
+            );
+
+            // The fault outcome, as the unsharded runner reports it.
+            let plain = run_system(kind, &setup, &t, None);
+            assert_eq!(plain.sim_time_us, plain_sim_us);
+            assert_eq!(
+                detail.result.faults, plain.faults,
+                "{name}: N=1 sharded fault report diverges from unsharded"
+            );
+            if faulted {
+                let injected = plain.faults.map_or(0, |f| f.injected);
+                assert!(injected > 0, "{name}: the fault plan never fired");
             }
-            ReplaySystem::FlashtierWb => {
-                let mut s = setup.flashtier_wb();
-                let stats = cachemgr::replay(&mut s, &t.events).unwrap();
-                (s.ssc().counters(), stats.sim_time.as_micros())
-            }
-            _ => unreachable!(),
-        };
-
-        assert_eq!(
-            detail.shard_counters[0], plain_counters,
-            "{}: N=1 sharded counters diverge from unsharded",
-            detail.result.name
-        );
-        assert_eq!(
-            detail.result.sim_time_us, plain_sim_us,
-            "{}: N=1 sharded sim_time diverges from unsharded",
-            detail.result.name
-        );
+        }
     }
 }
 
@@ -99,8 +118,8 @@ fn sharded_replay_is_rerun_deterministic() {
     let t = setup.workload();
     for kind in [ReplaySystem::FlashtierWt, ReplaySystem::FlashtierWb] {
         for n in [2usize, 4] {
-            let a = run_sharded_detail(kind, &setup, &t, n);
-            let b = run_sharded_detail(kind, &setup, &t, n);
+            let a = run_sharded(kind, &setup, &t, n, None);
+            let b = run_sharded(kind, &setup, &t, n, None);
             assert_eq!(
                 a.shard_counters, b.shard_counters,
                 "{} N={n}: per-shard counters differ across reruns",

@@ -45,8 +45,10 @@ pub enum DestagePolicy {
 
 /// Write-back FlashTier system: SSC + disk + dirty-block table.
 ///
-/// Generic over the cache device: the default is the monolithic [`Ssc`];
-/// a [`flashtier_core::ShardedSsc`] drops in for the partitioned build.
+/// Generic over the cache device: the default is [`Ssc`]; any other
+/// [`SscDevice`] (for example an instrumented wrapper around an `Ssc`)
+/// drops in. A sharded build runs N of these stacks in a
+/// [`crate::ShardSet`] rather than sharding below one manager.
 #[derive(Debug)]
 pub struct FlashTierWb<D: SscDevice = Ssc> {
     ssc: D,

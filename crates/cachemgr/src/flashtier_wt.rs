@@ -23,8 +23,10 @@ use crate::Result;
 /// never-cached blocks; this is only safe in write-through mode, where all
 /// cached data is clean and the disk is always authoritative.
 ///
-/// Generic over the cache device: the default is the monolithic [`Ssc`];
-/// a [`flashtier_core::ShardedSsc`] drops in for the partitioned build.
+/// Generic over the cache device: the default is [`Ssc`]; any other
+/// [`SscDevice`] (for example an instrumented wrapper around an `Ssc`)
+/// drops in. A sharded build runs N of these stacks in a
+/// [`crate::ShardSet`] rather than sharding below one manager.
 #[derive(Debug)]
 pub struct FlashTierWt<D: SscDevice = Ssc> {
     ssc: D,

@@ -5,10 +5,10 @@
 //! `&mut self`. To serve thousands of concurrent sessions the stack is
 //! partitioned *at the manager level*: N complete manager stacks (each over
 //! a `1/N` geometry split of the cache device and its own disk tier), with
-//! a [`ShardRouter`] deciding which stack owns each LBA. This is exactly
-//! the partitioning the sharded replay harness uses; [`ShardSet`] packages
-//! it so a front-end (the `flashtier-server` crate) can hand each shard to
-//! a dedicated worker thread and route requests without locks:
+//! a [`ShardRouter`] deciding which stack owns each LBA. It is the one
+//! shard representation: sharded replay runs each stack on its own
+//! thread, and a front-end (the `flashtier-server` crate) hands each shard
+//! to a dedicated worker thread and routes requests without locks:
 //!
 //! * the router is a pure function of the LBA, so all operations on one
 //!   logical block always reach the same shard — per-LBA ordering reduces

@@ -60,29 +60,6 @@ impl SscCounters {
         self.writes_clean + self.writes_dirty
     }
 
-    /// Field-wise sum of two counter snapshots — used to aggregate
-    /// per-shard counters into one device-wide view.
-    pub fn merged(&self, other: &SscCounters) -> SscCounters {
-        SscCounters {
-            host_reads: self.host_reads + other.host_reads,
-            read_misses: self.read_misses + other.read_misses,
-            writes_clean: self.writes_clean + other.writes_clean,
-            writes_dirty: self.writes_dirty + other.writes_dirty,
-            evict_ops: self.evict_ops + other.evict_ops,
-            clean_ops: self.clean_ops + other.clean_ops,
-            exists_ops: self.exists_ops + other.exists_ops,
-            silent_evictions: self.silent_evictions + other.silent_evictions,
-            silently_evicted_pages: self.silently_evicted_pages + other.silently_evicted_pages,
-            eviction_fallbacks: self.eviction_fallbacks + other.eviction_fallbacks,
-            switch_merges: self.switch_merges + other.switch_merges,
-            full_merges: self.full_merges + other.full_merges,
-            gc_copies: self.gc_copies + other.gc_copies,
-            checkpoints: self.checkpoints + other.checkpoints,
-            blocks_retired: self.blocks_retired + other.blocks_retired,
-            program_reissues: self.program_reissues + other.program_reissues,
-        }
-    }
-
     /// Hit rate of reads (1 - miss rate).
     pub fn read_hit_rate(&self) -> f64 {
         if self.host_reads == 0 {

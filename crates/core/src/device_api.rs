@@ -2,11 +2,11 @@
 //!
 //! [`SscDevice`] captures the slice of the SSC interface (§4.2.1 operations
 //! plus the crash/recovery and fault-injection hooks) that the cache
-//! managers and the replay harness actually use. Both the monolithic
-//! [`Ssc`] and the hash-partitioned [`crate::shard::ShardedSsc`] implement
-//! it, so a manager is constructed over either interchangeably — the
-//! sharded device behaves exactly like one big SSC, it just spreads the
-//! sparse address space over independent shards.
+//! managers and the replay harness actually use. [`Ssc`] implements it;
+//! so can a wrapper that forwards to an `Ssc` (an instrumented device, for
+//! example), and a manager is constructed over either interchangeably.
+//! Sharding happens above the managers: a sharded build runs N complete
+//! manager stacks, each over its own `Ssc` (see [`crate::shard`]).
 
 use simkit::{Duration, PageBuf};
 use sparsemap::MapMemory;
@@ -122,9 +122,8 @@ pub trait SscDevice {
 
     /// Durability barrier: synchronously commits any buffered
     /// (group-commit) log records, so every previously acknowledged
-    /// operation survives a crash. On a sharded device this drains every
-    /// shard and max-merges the per-shard clocks — it is the sync point the
-    /// server's graceful-shutdown drain runs through.
+    /// operation survives a crash. The server's graceful-shutdown drain
+    /// runs every shard stack through it.
     ///
     /// # Errors
     ///

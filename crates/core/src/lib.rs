@@ -59,7 +59,7 @@ pub use device::{CachedBlockMeta, CrashSite, Ssc, SscCounters};
 pub use device_api::SscDevice;
 pub use error::SscError;
 pub use map::{BlockEntry, PagePtr, SscMaps};
-pub use shard::{decorrelate_fault_seed, shard_config, ShardRouter, ShardedSsc};
+pub use shard::{decorrelate_fault_seed, shard_config, ShardRouter};
 pub use wal::{LogRecord, MapLevel};
 
 /// Result alias for SSC operations.

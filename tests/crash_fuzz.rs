@@ -17,12 +17,15 @@
 //! durable metadata must survive exactly.
 
 use flashtier::cachemgr::{
-    CacheSystem, CmError, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
+    CacheSystem, CmError, FlashTierWb, FlashTierWt, MgrCounters, NativeCache, NativeConsistency,
+    NativeMode, PageBuf, ShardSet,
 };
 use flashtier::disksim::{Disk, DiskConfig, DiskDataMode};
 use flashtier::flashsim::DataMode;
 use flashtier::ftl::{HybridFtl, SsdConfig};
-use flashtier::ssc::{CrashSite, ShardedSsc, Ssc, SscConfig, SscDevice, SscError};
+use flashtier::simkit::Duration;
+use flashtier::sparsemap::MapMemory;
+use flashtier::ssc::{shard_config, CrashSite, ShardRouter, Ssc, SscConfig, SscDevice, SscError};
 use std::collections::HashMap;
 
 const BLOCK: usize = 512;
@@ -98,6 +101,71 @@ fn config() -> SscConfig {
     // reachable within one campaign.
     config.checkpoint_write_interval = 30;
     config
+}
+
+/// Two share-nothing stacks behind one router: the shape the cache server
+/// runs (and crashes) in. Reads and writes go to the stack owning the LBA;
+/// a power failure hits every stack, and each one recovers on its own.
+struct TwoShards<S>(ShardSet<S>);
+
+impl<S: CacheSystem> TwoShards<S> {
+    fn new(build: impl Fn(Ssc) -> S) -> Self {
+        let config = config();
+        let per_shard = shard_config(&config, 2);
+        let router = ShardRouter::new(2, config.flash.geometry.pages_per_block());
+        TwoShards(ShardSet::from_parts(
+            (0..2).map(|_| build(Ssc::new(per_shard))).collect(),
+            router,
+        ))
+    }
+
+    fn memory(&self, of: impl Fn(&S) -> MapMemory) -> MapMemory {
+        self.0
+            .shards()
+            .iter()
+            .map(of)
+            .fold(MapMemory::default(), |a, m| MapMemory {
+                entries: a.entries + m.entries,
+                modeled_bytes: a.modeled_bytes + m.modeled_bytes,
+                heap_bytes: a.heap_bytes + m.heap_bytes,
+            })
+    }
+}
+
+impl<S: CacheSystem> CacheSystem for TwoShards<S> {
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration, CmError> {
+        self.0.route_mut(lba).read_into(lba, buf)
+    }
+
+    fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration, CmError> {
+        self.0.route_mut(lba).write(lba, data)
+    }
+
+    fn counters(&self) -> MgrCounters {
+        self.0.counters()
+    }
+
+    fn host_memory(&self) -> MapMemory {
+        self.memory(S::host_memory)
+    }
+
+    fn device_memory(&self) -> MapMemory {
+        self.memory(S::device_memory)
+    }
+
+    fn block_size(&self) -> usize {
+        self.0.shard(0).block_size()
+    }
+
+    fn name(&self) -> &'static str {
+        "two-shard"
+    }
+}
+
+impl<S: CrashRecover> CrashRecover for TwoShards<S> {
+    fn power_cycle(&mut self) -> Result<(), CmError> {
+        (0..self.0.num_shards()).try_for_each(|i| self.0.shard_mut(i).power_cycle())
+    }
 }
 
 /// Reads `lba` and asserts it holds exactly `shadow`'s version, except for
@@ -333,11 +401,11 @@ fn native_wb_survives_crashes_at_operation_boundaries() {
     }
 }
 
-/// Two hash-partitioned shards behind the write-through manager. The crash
-/// is armed inside a *single* shard's machinery (the shard alternates with
-/// the armed trigger count); after the whole-device power failure every
-/// shard must roll forward and the full-span shadow sweep must hold — a
-/// crash in one shard can never cost another shard's acknowledged writes.
+/// Two hash-partitioned write-through stacks. The crash is armed inside a
+/// *single* stack's SSC (the stack alternates with the armed trigger
+/// count); after the power failure every stack must roll forward and the
+/// full-span shadow sweep must hold — a crash in one shard can never cost
+/// another shard's acknowledged writes.
 #[test]
 fn sharded_flashtier_wt_survives_single_shard_crashes() {
     let sites = [
@@ -347,20 +415,21 @@ fn sharded_flashtier_wt_survives_single_shard_crashes() {
         CrashSite::Merge,
     ];
     fuzz_ssc_system(
-        || FlashTierWt::new(ShardedSsc::new(config(), 2), disk()),
-        |s: &mut FlashTierWt<ShardedSsc>, site, after| {
-            let shard = (after as usize) % s.ssc().num_shards();
-            s.ssc_mut().arm_crash_shard(shard, site, after);
+        || TwoShards::new(|ssc| FlashTierWt::new(ssc, disk())),
+        |s: &mut TwoShards<FlashTierWt>, site, after| {
+            let shard = (after as usize) % s.0.num_shards();
+            s.0.shard_mut(shard).ssc_mut().arm_crash(site, after);
         },
-        |s: &mut FlashTierWt<ShardedSsc>| s.ssc_mut().disarm_crash(),
+        |s: &mut TwoShards<FlashTierWt>| {
+            (0..2).for_each(|i| s.0.shard_mut(i).ssc_mut().disarm_crash())
+        },
         &sites,
         15 * fuzz_scale(),
     );
 }
 
-/// Same single-shard crash campaigns for the write-back manager, whose
-/// dirty-table rebuild additionally exercises the sharded `exists`
-/// scatter-gather after every recovery.
+/// Same single-shard crash campaigns for write-back stacks, where every
+/// stack rebuilds its own dirty table from its SSC after recovery.
 #[test]
 fn sharded_flashtier_wb_survives_single_shard_crashes() {
     let sites = [
@@ -371,12 +440,14 @@ fn sharded_flashtier_wb_survives_single_shard_crashes() {
         CrashSite::Clean,
     ];
     fuzz_ssc_system(
-        || FlashTierWb::new(ShardedSsc::new(config(), 2), disk()),
-        |s: &mut FlashTierWb<ShardedSsc>, site, after| {
-            let shard = (after as usize) % s.ssc().num_shards();
-            s.ssc_mut().arm_crash_shard(shard, site, after);
+        || TwoShards::new(|ssc| FlashTierWb::new(ssc, disk())),
+        |s: &mut TwoShards<FlashTierWb>, site, after| {
+            let shard = (after as usize) % s.0.num_shards();
+            s.0.shard_mut(shard).ssc_mut().arm_crash(site, after);
         },
-        |s: &mut FlashTierWb<ShardedSsc>| s.ssc_mut().disarm_crash(),
+        |s: &mut TwoShards<FlashTierWb>| {
+            (0..2).for_each(|i| s.0.shard_mut(i).ssc_mut().disarm_crash())
+        },
         &sites,
         12 * fuzz_scale(),
     );
